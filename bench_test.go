@@ -121,6 +121,43 @@ func BenchmarkBaselineSilentTracker(b *testing.B) { benchBaseline(b, experiments
 func BenchmarkBaselineReactive(b *testing.B)      { benchBaseline(b, experiments.Reactive) }
 func BenchmarkBaselineGenie(b *testing.B)         { benchBaseline(b, experiments.Genie) }
 
+// --- Fleet families: one trial unit ----------------------------------
+//
+// One iteration is one campaign unit of a fleet family — a compiled
+// deployment whose UEs each run a full world to the horizon — invoked
+// through the campaign spec's own Trial entry point, so ns/op is what
+// one cache miss costs the engine. The fleet families are most of a
+// full run's wall clock; the 100-UE urban unit is the slowest unit of
+// all.
+
+func benchUnit(b *testing.B, spec *campaign.Spec, axis, value string) {
+	var cell campaign.Cell
+	for _, c := range spec.Cells() {
+		if c.Get(axis) == value {
+			cell = c
+		}
+	}
+	if cell == nil {
+		b.Fatalf("%s has no cell %s=%s", spec.Name, axis, value)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		spec.Trial(cell, spec.TrialSeed(i%spec.Trials))
+	}
+}
+
+func BenchmarkUrbanUnit100(b *testing.B) {
+	benchUnit(b, experiments.UrbanCampaign(experiments.DefaultUrbanOpts()), "ues", "100")
+}
+
+func BenchmarkHighwayUnit(b *testing.B) {
+	benchUnit(b, experiments.HighwayCampaign(experiments.DefaultHighwayOpts()), "speed_mps", "15")
+}
+
+func BenchmarkHotspotUnit(b *testing.B) {
+	benchUnit(b, experiments.HotspotCampaign(experiments.DefaultHotspotOpts()), "density", "1")
+}
+
 // --- Parallel trial engine -------------------------------------------
 //
 // Each pair runs the same fixed quick workload serially (Workers: 1)

@@ -90,7 +90,7 @@ func TestCampaignDescribe(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("describe exited %d", code)
 	}
-	for _, want := range []string{"campaign:   urban", "axis:       ues", "epoch:      urban/v1", "grid:"} {
+	for _, want := range []string{"campaign:   urban", "axis:       ues", "epoch:      urban/v2", "grid:"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("describe output is missing %q:\n%s", want, stdout)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"silenttracker/internal/mathx"
+	"silenttracker/internal/rng"
 )
 
 // The per-sample path must not allocate: it is called once per beacon
@@ -34,6 +35,40 @@ func TestCachedConstantsMatchParams(t *testing.T) {
 		got, want := l.fspl(d), p.FSPLdB(d)
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("fspl(%v) = %v, want %v", d, got, want)
+		}
+	}
+}
+
+// The SINR combines noise and interference in linear mW under one log;
+// it must agree with the textbook form that inverts SNR and SIR
+// separately, -10·log10(10^(-SNR/10) + 10^(-SIR/10)), across the whole
+// range the channel produces.
+func TestSINRMatchesInverseSum(t *testing.T) {
+	l := NewLink(DefaultParams(), 1, "sinr")
+	for snr := -60.0; snr <= 60; snr += 0.5 {
+		for sir := -60.0; sir <= 60; sir += 0.5 {
+			rss := l.noiseFloor + snr
+			want := -mathx.LinToDB(mathx.DBToLin(-snr) + mathx.DBToLin(-sir))
+			if got := l.sinrDB(rss, rss-sir); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("snr %v sir %v: sinr %v dB, want %v", snr, sir, got, want)
+			}
+		}
+	}
+}
+
+// The two-entry step memo must give the same process, draw for draw,
+// as computing the coefficients afresh on every step.
+func TestShadowingMemoBitExact(t *testing.T) {
+	memo := NewShadowing(2.5, 0.5, rng.Stream(4, "memo"))
+	fresh := rng.Stream(4, "memo")
+	cur := fresh.Normal(0, 2.5)
+	steps := []float64{2.5e-4, 2.5e-4, 0.0163, 2.5e-4, 0.02, 0.02, 2.5e-4, 0.036, 1e-3, 2.5e-4}
+	for i := 0; i < 500; i++ {
+		dt := steps[i%len(steps)] * (1 + float64(i%7)*1e-13)
+		rho := math.Exp(-dt / 0.5)
+		cur = rho*cur + math.Sqrt(1-rho*rho)*fresh.Normal(0, 2.5)
+		if got := memo.Advance(dt); got != cur {
+			t.Fatalf("step %d (dt %v): memoised %v, fresh %v", i, dt, got, cur)
 		}
 	}
 }

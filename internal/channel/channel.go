@@ -102,11 +102,19 @@ type Shadowing struct {
 	tau   float64
 	cur   float64
 	src   *rng.Source
-	// Memoised correlation coefficients for the last step size: the
-	// hot loop advances by a fixed beacon slot, so the exp/sqrt pair
-	// almost always comes from here instead of being recomputed.
-	memoDt, memoRho, memoSq float64
+	// Memoised correlation coefficients for the last two step sizes:
+	// a link advances by the beacon slot inside a burst and by the gap
+	// between the bursts it is heard on, so the exp/sqrt pair mostly
+	// comes from here instead of being recomputed. A miss replaces the
+	// entry that did not serve the previous step, so the in-burst step
+	// survives a run of distinct gaps.
+	memo [2]stepCoef
+	last int // index of the entry that served the previous step
 }
+
+// stepCoef holds the Gauss-Markov coefficients of one step size dt:
+// ρ = exp(-dt/τ) and √(1-ρ²).
+type stepCoef struct{ dt, rho, sq float64 }
 
 // NewShadowing constructs a shadowing process with the given std-dev
 // (dB) and decorrelation time constant (s), drawing from src.
@@ -122,11 +130,17 @@ func (s *Shadowing) Advance(dt float64) float64 {
 	if dt <= 0 {
 		return s.cur
 	}
-	if dt != s.memoDt {
-		rho := math.Exp(-dt / s.tau)
-		s.memoDt, s.memoRho, s.memoSq = dt, rho, math.Sqrt(1-rho*rho)
+	i := s.last
+	if dt != s.memo[i].dt {
+		i ^= 1
+		if dt != s.memo[i].dt {
+			rho := math.Exp(-dt / s.tau)
+			s.memo[i] = stepCoef{dt: dt, rho: rho, sq: math.Sqrt(1 - rho*rho)}
+		}
+		s.last = i
 	}
-	s.cur = s.memoRho*s.cur + s.memoSq*s.src.Normal(0, s.sigma)
+	c := &s.memo[i]
+	s.cur = c.rho*s.cur + c.sq*s.src.Normal(0, s.sigma)
 	return s.cur
 }
 
@@ -190,6 +204,7 @@ type Link struct {
 	// Link-budget constants cached at construction so the per-sample
 	// path recomputes nothing that the deployment fixes.
 	noiseFloor float64 // P.NoiseFloorDBm()
+	noiseLin   float64 // the noise floor in linear mW
 	fsplBase   float64 // 20·log10(4π/λ): FSPL at 1 m before the distance term
 	oxyPerM    float64 // oxygen absorption per meter
 }
@@ -200,6 +215,7 @@ func NewLink(p Params, seed int64, name string) *Link {
 	return &Link{
 		P:          p,
 		noiseFloor: p.NoiseFloorDBm(),
+		noiseLin:   mathx.DBToLin(p.NoiseFloorDBm()),
 		fsplBase:   20 * math.Log10(4*math.Pi*p.CarrierHz/SpeedOfLight),
 		oxyPerM:    p.OxygenDBkm / 1000,
 		shadow:     NewShadowing(p.ShadowSigma, p.ShadowCorrT, rng.Stream(seed, name+"/shadow")),
@@ -295,8 +311,7 @@ func (l *Link) MeasureSel(t, d, txGainDBi, rxGainDBi, rxAvgGainDBi, selLin float
 	interf := l.P.TxPowerDBm + txGainDBi + rxAvgGainDBi -
 		pl - l.P.ReflLossDB + sh + sirFluct + l.fading.Normal(0, 1)
 	sir := rss - interf
-	snr := rss - l.noiseFloor
-	sinr := -mathx.LinToDB(mathx.DBToLin(-snr) + mathx.DBToLin(-sir))
+	sinr := l.sinrDB(rss, interf)
 
 	return Sample{
 		RSSdBm:    rss,
@@ -308,6 +323,14 @@ func (l *Link) MeasureSel(t, d, txGainDBi, rxGainDBi, rxAvgGainDBi, selLin float
 		SIRdB:     sir,
 		SINRdB:    sinr,
 	}
+}
+
+// sinrDB is the SINR of a signal at rss dBm over the thermal noise
+// floor plus interference at interf dBm: S/(N+I), with the two
+// impairments summed in linear mW, so a sample pays one exp and one
+// log.
+func (l *Link) sinrDB(rss, interf float64) float64 {
+	return rss - mathx.LinToDB(l.noiseLin+mathx.DBToLin(interf))
 }
 
 // fspl is FSPLdB against the link's cached constants: the same value

@@ -69,7 +69,7 @@ func ThresholdCampaign(opts ThresholdOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 27644437,
-		Epoch:      "threshold/v1",
+		Epoch:      "threshold/v2",
 		Config:     fmt.Sprintf("horizon=%d", opts.Horizon),
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			b := EdgeBuilder(seed)
@@ -164,7 +164,7 @@ func HysteresisCampaign(opts HysteresisOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 6700417,
-		Epoch:      "hysteresis/v1",
+		Epoch:      "hysteresis/v2",
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			b := EdgeBuilder(seed)
 			b.Cfg.TrackTriggerDB = cell.Float("trigger_db")

@@ -103,7 +103,7 @@ func BaselineCampaign(opts BaselineOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 179426549,
-		Epoch:      "baseline/v1",
+		Epoch:      "baseline/v2",
 		Config:     fmt.Sprintf("horizon=%d", opts.Horizon),
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			var t BaselineRow

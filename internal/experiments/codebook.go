@@ -61,7 +61,7 @@ func CodebookCampaign(opts CodebookOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 7919,
-		Epoch:      "codebook/v1",
+		Epoch:      "codebook/v2",
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			n := cell.Int("beams")
 			b := EdgeBuilder(seed)

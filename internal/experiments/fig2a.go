@@ -70,7 +70,7 @@ func Fig2aCampaign(opts Fig2aOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 7919,
-		Epoch:      "fig2a/v1",
+		Epoch:      "fig2a/v2",
 		Config:     fmt.Sprintf("budget=%d,verify=%d", opts.ScanBudget, opts.Verify),
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			ok, dwells := SearchTrial(BeamConfigNamed(cell.Get("config")), seed, opts)

@@ -53,7 +53,7 @@ func Fig2cCampaign(opts Fig2cOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 104729,
-		Epoch:      "fig2c/v1",
+		Epoch:      "fig2c/v2",
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			rec, ok := HandoverTrial(ScenarioNamed(cell.Get("scenario")), seed)
 			m := campaign.NewMetrics()

@@ -113,7 +113,7 @@ func HighwayCampaign(opts HighwayOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 31337,
-		Epoch:      "highway/v1",
+		Epoch:      "highway/v2",
 		Config:     fmt.Sprintf("%s horizons=%v", highwaySpec(1).Fingerprint(), horizons),
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			return highwayTrial(cell.Float("speed_mps"), seed)

@@ -93,7 +93,7 @@ func HotspotCampaign(opts HotspotOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 31337,
-		Epoch:      "hotspot/v1",
+		Epoch:      "hotspot/v2",
 		Config:     hotspotSpec(1).Fingerprint(),
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			return hotspotTrial(cell.Float("density"), seed)

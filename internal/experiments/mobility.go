@@ -59,7 +59,7 @@ func MobilityCampaign(opts MobilityOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 31337,
-		Epoch:      "mobility/v1",
+		Epoch:      "mobility/v2",
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			var t MobilityRow
 			oneAlignmentTrial(ScenarioNamed(cell.Get("scenario")), seed, &t)

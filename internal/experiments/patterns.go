@@ -61,7 +61,7 @@ func PatternsCampaign(opts PatternOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 15485863,
-		Epoch:      "patterns/v1",
+		Epoch:      "patterns/v2",
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			model := cell.Get("model")
 			sOpts := DefaultFig2aOpts()

@@ -117,7 +117,7 @@ func UrbanCampaign(opts UrbanOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 31337,
-		Epoch:      "urban/v1",
+		Epoch:      "urban/v2",
 		Config:     urbanSpec(1).Fingerprint(),
 		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
 			return urbanTrial(cell.Int("ues"), seed)

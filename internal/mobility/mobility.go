@@ -1,13 +1,20 @@
 // Package mobility provides the trajectory models of the paper's
 // three evaluation scenarios — human walk (1.4 m/s), device rotation
-// (120°/s), and vehicular motion (20 mph) — plus a random-waypoint
-// model for larger scenarios.
+// (120°/s), and vehicular motion (20 mph, or any speed for the highway
+// family) — plus a static pose.
 //
 // A Model is a pure function from time to Pose: given the same seed it
 // always returns the same trajectory, and it may be sampled at
 // arbitrary times in any order. Human-motion irregularity (gait sway,
 // hand jitter) is modelled with fixed-phase sinusoids drawn at
 // construction, which keeps the pure-function property.
+//
+// Every Model is also smooth: position and facing change continuously,
+// with bounded rates, so over one 4 ms sync burst a pose is linear in
+// time to well under a milliradian. The radio front end relies on this
+// to evaluate the pose once at each end of a burst and interpolate the
+// beacons in between; a model with jumps in facing or position would
+// break that precondition.
 package mobility
 
 import (
@@ -62,11 +69,15 @@ func (s sway) at(t float64) float64 {
 // cell edge" scenario.
 type Walk struct {
 	Start   geom.Vec
-	Heading float64 // direction of travel, radians
+	Heading float64 // direction of travel, radians; fixed at construction
 	Speed   float64 // m/s
 
 	faceSway sway // radians of facing oscillation
 	latSway  sway // meters of lateral weave
+
+	// Unit vectors along Heading and Heading+π/2, evaluated once:
+	// PoseAt scales them exactly as geom.FromPolar would.
+	along, lateral geom.Vec
 }
 
 // NewWalk builds a walk at the paper's 1.4 m/s with typical human gait
@@ -79,13 +90,15 @@ func NewWalk(start geom.Vec, heading float64, seed int64) *Walk {
 		Speed:    WalkSpeed,
 		faceSway: newSway(src, geom.Deg(8), 0.9),
 		latSway:  newSway(src, 0.08, 1.8),
+		along:    geom.FromPolar(1, heading),
+		lateral:  geom.FromPolar(1, heading+math.Pi/2),
 	}
 }
 
 // PoseAt implements Model.
 func (w *Walk) PoseAt(t float64) geom.Pose {
-	along := geom.FromPolar(w.Speed*t, w.Heading)
-	lateral := geom.FromPolar(w.latSway.at(t), w.Heading+math.Pi/2)
+	along := scaleDir(w.along, w.Speed*t)
+	lateral := scaleDir(w.lateral, w.latSway.at(t))
 	return geom.Pose{
 		Pos:    w.Start.Add(along).Add(lateral),
 		Facing: geom.WrapAngle(w.Heading + w.faceSway.at(t)),
@@ -124,9 +137,10 @@ func (r *Rotation) PoseAt(t float64) geom.Pose {
 // suspension-induced heading jitter.
 type Vehicle struct {
 	Start   geom.Vec
-	Heading float64
+	Heading float64 // direction of travel, radians; fixed at construction
 	Speed   float64
 	jitter  sway
+	along   geom.Vec // unit vector along Heading
 }
 
 // NewVehicle builds the paper's 20 mph vehicular trajectory.
@@ -145,107 +159,20 @@ func NewVehicleSpeed(start geom.Vec, heading, speed float64, seed int64) *Vehicl
 		Heading: heading,
 		Speed:   speed,
 		jitter:  newSway(src, geom.Deg(1.5), 1.1),
+		along:   geom.FromPolar(1, heading),
 	}
 }
 
 // PoseAt implements Model.
 func (v *Vehicle) PoseAt(t float64) geom.Pose {
 	return geom.Pose{
-		Pos:    v.Start.Add(geom.FromPolar(v.Speed*t, v.Heading)),
+		Pos:    v.Start.Add(scaleDir(v.along, v.Speed*t)),
 		Facing: geom.WrapAngle(v.Heading + v.jitter.at(t)),
 	}
 }
 
-// Waypoint is one leg endpoint of a RandomWaypoint trajectory.
-type Waypoint struct {
-	Pos  geom.Vec
-	At   float64 // arrival time, s
-	Wait float64 // pause before departing, s
-}
-
-// RandomWaypoint wanders inside a rectangle: pick a point, walk to it,
-// pause, repeat. Facing follows the direction of travel.
-type RandomWaypoint struct {
-	wps []Waypoint
-}
-
-// NewRandomWaypoint precomputes a trajectory inside the box
-// [0,w]×[0,h] lasting at least horizon seconds.
-func NewRandomWaypoint(w, h, speed, horizon float64, seed int64) *RandomWaypoint {
-	src := rng.Stream(seed, "mobility/rwp")
-	cur := geom.V(src.Uniform(0, w), src.Uniform(0, h))
-	t := 0.0
-	m := &RandomWaypoint{}
-	m.wps = append(m.wps, Waypoint{Pos: cur, At: 0, Wait: 0})
-	for t < horizon {
-		next := geom.V(src.Uniform(0, w), src.Uniform(0, h))
-		d := cur.Dist(next)
-		if d < 1 {
-			continue
-		}
-		t += d / speed
-		wait := src.Uniform(0, 2)
-		m.wps = append(m.wps, Waypoint{Pos: next, At: t, Wait: wait})
-		t += wait
-		cur = next
-	}
-	return m
-}
-
-// PoseAt implements Model.
-func (m *RandomWaypoint) PoseAt(t float64) geom.Pose {
-	if t <= 0 {
-		first := m.wps[0]
-		return geom.Pose{Pos: first.Pos, Facing: 0}
-	}
-	for i := 1; i < len(m.wps); i++ {
-		prev, cur := m.wps[i-1], m.wps[i]
-		depart := prev.At + prev.Wait
-		if t < depart {
-			// Waiting at prev.
-			facing := prev.Pos.BearingTo(cur.Pos)
-			return geom.Pose{Pos: prev.Pos, Facing: facing}
-		}
-		if t < cur.At {
-			frac := (t - depart) / (cur.At - depart)
-			pos := prev.Pos.Add(cur.Pos.Sub(prev.Pos).Scale(frac))
-			return geom.Pose{Pos: pos, Facing: prev.Pos.BearingTo(cur.Pos)}
-		}
-	}
-	last := m.wps[len(m.wps)-1]
-	return geom.Pose{Pos: last.Pos, Facing: 0}
-}
-
-// WalkAndTurn composes a walk with an additional facing rotation —
-// e.g. a pedestrian turning a corner mid-trajectory. The turn ramps
-// linearly from TurnStart over TurnDur seconds up to TurnAngle.
-type WalkAndTurn struct {
-	Base      Model
-	TurnStart float64
-	TurnDur   float64
-	TurnAngle float64
-}
-
-// PoseAt implements Model.
-func (w *WalkAndTurn) PoseAt(t float64) geom.Pose {
-	p := w.Base.PoseAt(t)
-	switch {
-	case t <= w.TurnStart:
-	case t >= w.TurnStart+w.TurnDur:
-		p.Facing = geom.WrapAngle(p.Facing + w.TurnAngle)
-	default:
-		frac := (t - w.TurnStart) / w.TurnDur
-		p.Facing = geom.WrapAngle(p.Facing + w.TurnAngle*frac)
-	}
-	return p
-}
-
-// AngularRateTo estimates the rate (rad/s) at which the body-frame
-// bearing from the mobile to a fixed target changes at time t — the
-// quantity that stresses beam tracking. Computed by finite difference.
-func AngularRateTo(m Model, target geom.Vec, t float64) float64 {
-	const dt = 1e-3
-	a := m.PoseAt(t).LocalBearingTo(target)
-	b := m.PoseAt(t + dt).LocalBearingTo(target)
-	return geom.WrapAngle(b-a) / dt
+// scaleDir is geom.FromPolar(r, θ) given the unit vector (cos θ, sin θ)
+// evaluated once: the same products, so the same bits.
+func scaleDir(dir geom.Vec, r float64) geom.Vec {
+	return geom.Vec{X: r * dir.X, Y: r * dir.Y}
 }

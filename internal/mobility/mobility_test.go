@@ -97,50 +97,6 @@ func TestVehicleHeadingStable(t *testing.T) {
 	}
 }
 
-func TestRandomWaypointStaysInBox(t *testing.T) {
-	m := NewRandomWaypoint(50, 30, 1.4, 120, 5)
-	for tm := 0.0; tm < 120; tm += 0.5 {
-		p := m.PoseAt(tm).Pos
-		if p.X < -1e-9 || p.X > 50+1e-9 || p.Y < -1e-9 || p.Y > 30+1e-9 {
-			t.Fatalf("left the box at t=%v: %v", tm, p)
-		}
-	}
-}
-
-func TestRandomWaypointContinuous(t *testing.T) {
-	m := NewRandomWaypoint(50, 30, 1.4, 60, 6)
-	prev := m.PoseAt(0).Pos
-	for tm := 0.05; tm < 60; tm += 0.05 {
-		cur := m.PoseAt(tm).Pos
-		// At 1.4 m/s, 50 ms moves at most 0.07 m.
-		if prev.Dist(cur) > 0.08 {
-			t.Fatalf("trajectory jumped %v m at t=%v", prev.Dist(cur), tm)
-		}
-		prev = cur
-	}
-}
-
-func TestRandomWaypointBeforeStart(t *testing.T) {
-	m := NewRandomWaypoint(10, 10, 1, 20, 7)
-	if m.PoseAt(-5).Pos != m.PoseAt(0).Pos {
-		t.Error("negative time should pin to start")
-	}
-}
-
-func TestWalkAndTurn(t *testing.T) {
-	base := Static{Pos: geom.V(0, 0), Facing: 0}
-	wt := &WalkAndTurn{Base: base, TurnStart: 1, TurnDur: 2, TurnAngle: geom.Deg(90)}
-	if f := wt.PoseAt(0.5).Facing; f != 0 {
-		t.Errorf("before turn facing = %v", f)
-	}
-	if f := wt.PoseAt(2).Facing; geom.AngleDist(f, geom.Deg(45)) > 1e-9 {
-		t.Errorf("mid-turn facing = %v°, want 45°", geom.Rad(f))
-	}
-	if f := wt.PoseAt(10).Facing; geom.AngleDist(f, geom.Deg(90)) > 1e-9 {
-		t.Errorf("after turn facing = %v°, want 90°", geom.Rad(f))
-	}
-}
-
 func TestAngularRateOrdering(t *testing.T) {
 	// Rotation at 120°/s stresses tracking far more than walking past a
 	// BS 10 m away (1.4/10 rad/s ≈ 8°/s), which exceeds vehicular at
@@ -148,8 +104,8 @@ func TestAngularRateOrdering(t *testing.T) {
 	target := geom.V(0, 10)
 	walk := NewWalk(geom.V(-5, 0), 0, 1)
 	rot := NewRotation(geom.V(0, 0), 1)
-	rateWalk := math.Abs(AngularRateTo(walk, target, 3.5))
-	rateRot := math.Abs(AngularRateTo(rot, target, 3.5))
+	rateWalk := math.Abs(angularRateTo(walk, target, 3.5))
+	rateRot := math.Abs(angularRateTo(rot, target, 3.5))
 	if rateRot <= rateWalk {
 		t.Errorf("rotation rate %v should exceed walk rate %v", rateRot, rateWalk)
 	}
@@ -170,5 +126,45 @@ func TestPureFunctionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// angularRateTo estimates the rate (rad/s) at which the body-frame
+// bearing from the mobile to a fixed target changes at time t — the
+// quantity that stresses beam tracking. Computed by finite difference.
+func angularRateTo(m Model, target geom.Vec, t float64) float64 {
+	const dt = 1e-3
+	a := m.PoseAt(t).LocalBearingTo(target)
+	b := m.PoseAt(t + dt).LocalBearingTo(target)
+	return geom.WrapAngle(b-a) / dt
+}
+
+// The heading's sine and cosine are evaluated once at construction;
+// PoseAt must give the same bits as the geom.FromPolar form it
+// replaced.
+func TestCachedHeadingBitExact(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		heading := geom.Deg(float64(seed) * 37.3)
+		start := geom.V(float64(seed), -2*float64(seed))
+		w := NewWalk(start, heading, seed)
+		v := NewVehicleSpeed(start, heading, 5+float64(seed), seed)
+		for tm := 0.0; tm < 30; tm += 0.0173 {
+			along := geom.FromPolar(w.Speed*tm, w.Heading)
+			lateral := geom.FromPolar(w.latSway.at(tm), w.Heading+math.Pi/2)
+			want := geom.Pose{
+				Pos:    w.Start.Add(along).Add(lateral),
+				Facing: geom.WrapAngle(w.Heading + w.faceSway.at(tm)),
+			}
+			if got := w.PoseAt(tm); got != want {
+				t.Fatalf("walk seed %d t=%v: %+v, want %+v", seed, tm, got, want)
+			}
+			wantV := geom.Pose{
+				Pos:    v.Start.Add(geom.FromPolar(v.Speed*tm, v.Heading)),
+				Facing: geom.WrapAngle(v.Heading + v.jitter.at(tm)),
+			}
+			if got := v.PoseAt(tm); got != wantV {
+				t.Fatalf("vehicle seed %d t=%v: %+v, want %+v", seed, tm, got, wantV)
+			}
+		}
 	}
 }

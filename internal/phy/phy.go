@@ -183,9 +183,9 @@ func NewAirLink(cfg Config, cellID int, bs, ue *antenna.Codebook, ch *channel.Li
 // the mobile listens on rxBeam, with the given poses at time t.
 // Base stations do not rotate: the BS body frame is the world frame.
 func (a *AirLink) Measure(t sim.Time, bsPose, uePose geom.Pose, tx, rx antenna.BeamID) Measurement {
-	d := bsPose.Pos.Dist(uePose.Pos)
-	txGain := a.BS.GainDB(tx, bsPose.BearingTo(uePose.Pos))
-	rxGain, rxLin := a.UE.GainDBLin(rx, uePose.LocalBearingTo(bsPose.Pos))
+	d, bsBearing, ueLocal := segment(bsPose.Pos, uePose)
+	txGain := a.BS.GainDB(tx, bsBearing)
+	rxGain, rxLin := a.UE.GainDBLin(rx, ueLocal)
 	s := a.Ch.MeasureSel(t.Seconds(), d, txGain, rxGain, a.ueAvgDBi, rxLin*a.ueInvAvgLin)
 	return Measurement{
 		Cell:     a.CellID,
@@ -208,9 +208,9 @@ func (a *AirLink) Measure(t sim.Time, bsPose, uePose geom.Pose, tx, rx antenna.B
 // and the base station's own receive selectivity governs the
 // interference floor.
 func (a *AirLink) MeasureUplink(t sim.Time, bsPose, uePose geom.Pose, tx, rx antenna.BeamID) Measurement {
-	d := bsPose.Pos.Dist(uePose.Pos)
-	ueGain := a.UE.GainDB(rx, uePose.LocalBearingTo(bsPose.Pos))
-	bsGain, bsLin := a.BS.GainDBLin(tx, bsPose.BearingTo(uePose.Pos))
+	d, bsBearing, ueLocal := segment(bsPose.Pos, uePose)
+	ueGain := a.UE.GainDB(rx, ueLocal)
+	bsGain, bsLin := a.BS.GainDBLin(tx, bsBearing)
 	s := a.Ch.MeasureSel(t.Seconds(), d, ueGain-a.Cfg.UETxDeltaDB, bsGain, a.bsAvgDBi, bsLin*a.bsInvAvgLin)
 	return Measurement{
 		Cell:     a.CellID,
@@ -223,6 +223,21 @@ func (a *AirLink) MeasureUplink(t sim.Time, bsPose, uePose geom.Pose, tx, rx ant
 		Detected: s.SINRdB >= a.Cfg.CtrlSNRdB,
 		Blocked:  s.Blocked,
 	}
+}
+
+// segment is the base station–mobile geometry of one sample, from a
+// single atan2: the distance, the bearing of the mobile from the base
+// station (world frame, which is the base station's body frame), and
+// the bearing of the base station in the mobile's body frame. The
+// latter is the reverse ray, so it is the same bearing turned by π. It
+// agrees with Vec.Dist, Pose.BearingTo and Pose.LocalBearingTo to
+// within a few ulps.
+func segment(bs geom.Vec, ue geom.Pose) (d, bsBearing, ueLocal float64) {
+	dx, dy := ue.Pos.X-bs.X, ue.Pos.Y-bs.Y
+	d = math.Sqrt(dx*dx + dy*dy)
+	bsBearing = math.Atan2(dy, dx)
+	ueLocal = geom.WrapNear(bsBearing + math.Pi - ue.Facing)
+	return d, bsBearing, ueLocal
 }
 
 // SyncError returns a timing-estimate error (seconds) for a beacon

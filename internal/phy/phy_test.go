@@ -8,6 +8,7 @@ import (
 	"silenttracker/internal/antenna"
 	"silenttracker/internal/channel"
 	"silenttracker/internal/geom"
+	"silenttracker/internal/rng"
 	"silenttracker/internal/sim"
 )
 
@@ -257,5 +258,42 @@ func TestMeasureUplinkMisalignedFails(t *testing.T) {
 	}
 	if detected > 40 {
 		t.Errorf("misaligned uplink decoded %d/200 times", detected)
+	}
+}
+
+// segment derives the distance and both bearings from one atan2; it
+// must agree with the Vec/Pose methods it replaced on the sample path,
+// including the axis-aligned rays where atan2 sits on ±π.
+func TestSegmentMatchesPoseGeometry(t *testing.T) {
+	src := rng.Stream(1, "segment")
+	check := func(bs geom.Vec, ue geom.Pose) {
+		t.Helper()
+		d, bsBearing, ueLocal := segment(bs, ue)
+		if want := bs.Dist(ue.Pos); math.Abs(d-want) > 1e-12 {
+			t.Fatalf("bs %v ue %v: d %v, want %v", bs, ue, d, want)
+		}
+		if want := (geom.Pose{Pos: bs}).BearingTo(ue.Pos); geom.AngleDist(bsBearing, want) > 1e-12 {
+			t.Fatalf("bs %v ue %v: bs bearing %v, want %v", bs, ue, bsBearing, want)
+		}
+		want := ue.LocalBearingTo(bs)
+		if geom.AngleDist(ueLocal, want) > 1e-12 {
+			t.Fatalf("bs %v ue %v: local bearing %v, want %v", bs, ue, ueLocal, want)
+		}
+		if ueLocal < -math.Pi || ueLocal >= math.Pi {
+			t.Fatalf("bs %v ue %v: local bearing %v outside [-π, π)", bs, ue, ueLocal)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		bs := geom.V(src.Uniform(-300, 300), src.Uniform(-300, 300))
+		ue := geom.Pose{
+			Pos:    geom.V(src.Uniform(-300, 300), src.Uniform(-300, 300)),
+			Facing: src.Uniform(-math.Pi, math.Pi),
+		}
+		check(bs, ue)
+	}
+	for _, facing := range []float64{-math.Pi, -math.Pi / 2, 0, math.Pi / 2, math.Nextafter(math.Pi, 0)} {
+		for _, off := range []geom.Vec{geom.V(10, 0), geom.V(-10, 0), geom.V(0, 10), geom.V(0, -10), geom.V(-3, -4)} {
+			check(geom.V(5, 5), geom.Pose{Pos: geom.V(5, 5).Add(off), Facing: facing})
+		}
 	}
 }

@@ -110,6 +110,11 @@ func (d *Device) Busy(t sim.Time) bool { return t < d.busyUntil }
 // The returned row is a scratch buffer owned by the Device, valid
 // until the next MeasureBurst call; every consumer reads it
 // synchronously.
+//
+// The mobility model is evaluated only at the first and last beacon;
+// the poses in between are interpolated (see burstPose). Every model
+// is smooth, so over a burst the interpolation is off by a few
+// thousandths of a degree and a few hundredths of a millimetre.
 func (d *Device) MeasureBurst(cellID int, burstStart sim.Time, rx antenna.BeamID) []phy.Measurement {
 	ci := d.Cells[cellID]
 	if ci == nil {
@@ -119,9 +124,12 @@ func (d *Device) MeasureBurst(cellID int, burstStart sim.Time, rx antenna.BeamID
 	out := d.burstBuf[:0]
 	bestSNR := -1e9
 	detected := false
-	for tx := 0; tx < ci.Sched.NumTx; tx++ {
+	last := ci.Sched.NumTx - 1
+	first := d.Pose(burstStart)
+	final := d.Pose(ci.Sched.BeaconTime(burstStart, antenna.BeamID(last)))
+	for tx := 0; tx <= last; tx++ {
 		at := ci.Sched.BeaconTime(burstStart, antenna.BeamID(tx))
-		m := ci.Link.Measure(at, ci.Pose, d.Pose(at), antenna.BeamID(tx), rx)
+		m := ci.Link.Measure(at, ci.Pose, burstPose(first, final, tx, last), antenna.BeamID(tx), rx)
 		out = append(out, m)
 		if m.Detected {
 			detected = true
@@ -141,6 +149,23 @@ func (d *Device) MeasureBurst(cellID int, burstStart sim.Time, rx antenna.BeamID
 		}
 	}
 	return out
+}
+
+// burstPose is the pose at beacon k of a burst whose beacons 0 and
+// last (evenly spaced in time) have poses first and final: exact at
+// the ends, linear in between. Facing moves along the shorter arc.
+func burstPose(first, final geom.Pose, k, last int) geom.Pose {
+	switch k {
+	case 0:
+		return first
+	case last:
+		return final
+	}
+	f := float64(k) / float64(last)
+	return geom.Pose{
+		Pos:    first.Pos.Add(final.Pos.Sub(first.Pos).Scale(f)),
+		Facing: geom.WrapNear(first.Facing + geom.WrapNear(final.Facing-first.Facing)*f),
+	}
 }
 
 // KnowsTiming reports whether the mobile holds a fresh timing estimate

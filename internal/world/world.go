@@ -204,17 +204,31 @@ func (b *Builder) Build() *World {
 	return w
 }
 
+// cellLoop is one cell's periodic machinery. Its handlers are bound
+// once, in schedule, so the burst and RACH events that re-arm
+// themselves every period allocate nothing.
+type cellLoop struct {
+	id                    int
+	burst, burstEnd, rach sim.Handler
+	// The listen in flight: the burst it measures and the receive
+	// beam. A burst ends before the cell's next one starts, so one
+	// slot per cell suffices.
+	start sim.Time
+	rx    antenna.BeamID
+}
+
 // schedule arms the periodic machinery: per-cell bursts, RACH
 // occasions, and housekeeping.
 func (w *World) schedule() {
 	for id := range w.Cells {
-		id := id
-		c := w.Cells[id]
+		l := &cellLoop{id: id}
+		l.burst = func() { w.onBurstStart(l) }
+		l.burstEnd = func() { w.onBurstEnd(l) }
+		l.rach = func() { w.onRachOccasion(l) }
 		// First burst of each cell.
-		first := c.Sched.NextBurst(0)
-		w.Engine.At(first, func() { w.onBurstStart(id) })
+		w.Engine.At(w.Cells[id].Sched.NextBurst(0), l.burst)
 		// RACH occasions.
-		w.Engine.At(w.rachOffsets[id], func() { w.onRachOccasion(id) })
+		w.Engine.At(w.rachOffsets[id], l.rach)
 	}
 	w.Engine.Every(w.P.TickPeriod, func() {
 		for _, c := range w.Cells {
@@ -224,13 +238,14 @@ func (w *World) schedule() {
 }
 
 // onBurstStart handles the start of one cell's sync burst: plan,
-// arbitrate the radio, measure, and feed the protocol.
-func (w *World) onBurstStart(id int) {
+// arbitrate the radio, and arm the measurement at the burst's end.
+func (w *World) onBurstStart(l *cellLoop) {
+	id := l.id
 	c := w.Cells[id]
 	now := w.Engine.Now()
 	end := c.Sched.BurstEnd(now)
 	// Schedule the next burst first so errors below cannot silence us.
-	w.Engine.At(now+c.Sched.Period, func() { w.onBurstStart(id) })
+	w.Engine.At(now+c.Sched.Period, l.burst)
 
 	rx, listen := w.Tracker.PlanBurst(now, id)
 	if !listen || !w.Device.Book.Valid(rx) {
@@ -256,18 +271,23 @@ func (w *World) onBurstStart(id int) {
 	} else {
 		w.NeighborListens++
 	}
-	w.Engine.At(end, func() {
-		ms := w.Device.MeasureBurst(id, now, rx)
-		w.Tracker.OnBurst(w.Engine.Now(), id, ms)
-		w.drainTracker()
-	})
+	l.start, l.rx = now, rx
+	w.Engine.At(end, l.burstEnd)
+}
+
+// onBurstEnd measures the burst just heard and feeds the protocol.
+func (w *World) onBurstEnd(l *cellLoop) {
+	ms := w.Device.MeasureBurst(l.id, l.start, l.rx)
+	w.Tracker.OnBurst(w.Engine.Now(), l.id, ms)
+	w.drainTracker()
 }
 
 // onRachOccasion polls the tracker's random access machine when the
 // occasion belongs to its handover target and timing is known.
-func (w *World) onRachOccasion(id int) {
+func (w *World) onRachOccasion(l *cellLoop) {
+	id := l.id
 	now := w.Engine.Now()
-	w.Engine.At(now+w.Tracker.Cfg.Rach.OccasionPeriod, func() { w.onRachOccasion(id) })
+	w.Engine.At(now+w.Tracker.Cfg.Rach.OccasionPeriod, l.rach)
 	if w.Tracker.HandoverTarget() != id {
 		return
 	}
