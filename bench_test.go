@@ -121,32 +121,35 @@ func BenchmarkBaselineSilentTracker(b *testing.B) { benchBaseline(b, experiments
 func BenchmarkBaselineReactive(b *testing.B)      { benchBaseline(b, experiments.Reactive) }
 func BenchmarkBaselineGenie(b *testing.B)         { benchBaseline(b, experiments.Genie) }
 
-// --- Fleet families: one trial unit ----------------------------------
+// --- Fleet families: one campaign unit -------------------------------
 //
 // One iteration is one campaign unit of a fleet family — a compiled
-// deployment whose UEs each run a full world to the horizon — invoked
-// through the campaign spec's own Trial entry point, so ns/op is what
-// one cache miss costs the engine. The fleet families are most of a
-// full run's wall clock; the 100-UE urban unit is the slowest unit of
-// all.
+// deployment whose UEs (for urban, one block of them) each run a full
+// world to the horizon — invoked through the spec's own Trial entry
+// point with the unit's expanded coordinates, so ns/op is what one
+// cache miss costs the engine. Iterations cycle through the cell's
+// units in fold order.
 
 func benchUnit(b *testing.B, spec *campaign.Spec, axis, value string) {
-	var cell campaign.Cell
-	for _, c := range spec.Cells() {
-		if c.Get(axis) == value {
-			cell = c
+	cells := spec.Cells()
+	var units []campaign.UnitRef
+	for _, u := range spec.Expand(false) {
+		if cells[u.Cell].Get(axis) == value {
+			units = append(units, u)
 		}
 	}
-	if cell == nil {
+	if len(units) == 0 {
 		b.Fatalf("%s has no cell %s=%s", spec.Name, axis, value)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		spec.Trial(cell, spec.TrialSeed(i%spec.Trials))
+		u := units[i%len(units)]
+		spec.Trial(cells[u.Cell], u.Seed, u.Block)
 	}
 }
 
-func BenchmarkUrbanUnit100(b *testing.B) {
+// BenchmarkUrbanUnit times one UE block of the 100-UE cell.
+func BenchmarkUrbanUnit(b *testing.B) {
 	benchUnit(b, experiments.UrbanCampaign(experiments.DefaultUrbanOpts()), "ues", "100")
 }
 
@@ -293,7 +296,7 @@ func storeBenchSpec() *campaign.Spec {
 		Trials: 64,
 		Seed:   1,
 		Epoch:  "bench",
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			m := campaign.NewMetrics()
 			m.Add("v", float64(seed)+float64(cell.Int("a")))
 			return m

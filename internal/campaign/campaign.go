@@ -6,16 +6,17 @@
 // internal/stats into the same row structs the hand-written
 // experiment runners produced.
 //
-// Every trial unit is keyed by a content hash of (spec identity,
-// cell, seed, code-relevant config) into a pluggable result store
-// (store.go): an on-disk cache (cache.go), a size-budgeted in-memory
-// LRU hot tier (mem.go), a shared remote store (http.go, served by
-// campaign/storehttp), or any read-through/write-through Tiered mix
-// of them. A warm re-run — or a new sweep that shares cells with a
-// previous one — only computes the delta. The engine preserves
-// the runner's determinism contract: results are folded in unit
-// order, so cold, warm, and any-worker-count runs of the same spec
-// render byte-identical tables.
+// Every unit — one block of one trial of one cell — is keyed by a
+// content hash of (spec identity, cell, seed, block, code-relevant
+// config) into a pluggable result store (store.go): an on-disk cache
+// (cache.go), a size-budgeted in-memory LRU hot tier (mem.go), a
+// shared remote store (http.go, served by campaign/storehttp), or any
+// read-through/write-through Tiered mix of them. A warm re-run — or
+// a new sweep that shares cells with a previous one — only computes
+// the delta. The engine preserves the runner's determinism contract:
+// results are folded in unit order, so cold, warm, and
+// any-worker-count runs of the same spec render byte-identical
+// tables.
 package campaign
 
 import (
@@ -94,11 +95,12 @@ func (c Cell) String() string {
 // Metrics is what one trial unit produces: named observation vectors.
 // A vector entry is appended per observation, so per-trial samples
 // (one latency, many alignment errors) and per-trial rate records
-// (0/1) use the same shape, and concatenating vectors across trials
-// in unit order reproduces exactly the observation sequence the old
-// serial accumulators saw. Metrics round-trip through JSON without
-// loss (Go marshals float64 shortest-round-trip), which is what makes
-// warm cache runs byte-identical to cold ones.
+// (0/1) use the same shape, and concatenating vectors across blocks
+// and trials in unit order reproduces exactly the observation
+// sequence the old serial accumulators saw. Metrics round-trip
+// through JSON without loss (Go marshals float64
+// shortest-round-trip), which is what makes warm cache runs
+// byte-identical to cold ones.
 type Metrics map[string][]float64
 
 // NewMetrics returns an empty metrics set.
@@ -128,6 +130,15 @@ func (m Metrics) Scalar(name string) float64 {
 		return vs[0]
 	}
 	return 0
+}
+
+// Append concatenates o's vectors onto m's, name by name. The
+// appended values are copied, so m never aliases o's slices; the
+// engine folds the blocks of one trial this way.
+func (m Metrics) Append(o Metrics) {
+	for name, vs := range o {
+		m[name] = append(m[name], vs...)
+	}
 }
 
 // Names returns the metric names in sorted order.
@@ -168,10 +179,19 @@ type Spec struct {
 	Epoch  string
 	Config string
 
-	// Trial runs one unit: cell coordinates plus the unit's seed, all
-	// randomness derived from the seed alone. It must be safe for
-	// concurrent invocation.
-	Trial func(cell Cell, seed int64) Metrics
+	// Blocks, when non-nil, splits each trial of a cell into that many
+	// units (block 0 … n-1); nil means one block per trial. The block
+	// partition is part of the trial body's semantics, versioned by
+	// Epoch like the rest of it.
+	Blocks func(cell Cell) int
+
+	// Trial runs one unit: block b of the trial with the given cell
+	// coordinates and seed, all randomness derived from the seed
+	// alone. The fold concatenates a trial's blocks vector by vector
+	// in block order, so a blocked trial must emit, block by block,
+	// consecutive slices of the observation sequence one whole trial
+	// would. It must be safe for concurrent invocation.
+	Trial func(cell Cell, seed int64, block int) Metrics
 
 	// Render writes the spec's text table from folded cell results.
 	Render func(w io.Writer, cells []CellResult)
@@ -211,8 +231,23 @@ func (s *Spec) Cells() []Cell {
 	}
 }
 
-// Units returns the total number of trial units the spec expands to.
-func (s *Spec) Units() int { return len(s.Cells()) * s.Trials }
+// Units returns the total number of units the spec expands to:
+// blocks × trials, summed over cells.
+func (s *Spec) Units() int {
+	n := 0
+	for _, cell := range s.Cells() {
+		n += s.blocks(cell) * s.Trials
+	}
+	return n
+}
+
+// blocks returns how many units each trial of the cell splits into.
+func (s *Spec) blocks(cell Cell) int {
+	if s.Blocks == nil {
+		return 1
+	}
+	return s.Blocks(cell)
+}
 
 // TrialSeed returns the seed of trial i under the spec's schedule.
 func (s *Spec) TrialSeed(i int) int64 {
@@ -224,8 +259,9 @@ func (s *Spec) TrialSeed(i int) int64 {
 }
 
 // CellResult is one folded cell: every trial's metrics in trial
-// order. The accessors rebuild the stats accumulators exactly as a
-// serial loop over trials would have.
+// order, each trial's blocks already concatenated into one Metrics.
+// The accessors rebuild the stats accumulators exactly as a serial
+// loop over trials would have.
 type CellResult struct {
 	Cell   Cell      `json:"cell"`
 	Trials []Metrics `json:"trials"`

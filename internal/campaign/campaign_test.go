@@ -28,7 +28,7 @@ func syntheticSpec(trials int) *Spec {
 		Seed:       100,
 		SeedStride: 7,
 		Epoch:      "v1",
-		Trial: func(cell Cell, seed int64) Metrics {
+		Trial: func(cell Cell, seed int64, _ int) Metrics {
 			m := NewMetrics()
 			m.Add("seed", float64(seed))
 			m.Add("b2", float64(cell.Int("b")*2))
@@ -119,23 +119,26 @@ func TestMetricsRoundTripAndAccessors(t *testing.T) {
 func TestKeyHashSensitivity(t *testing.T) {
 	s := syntheticSpec(2)
 	cells := s.Cells()
-	base := s.UnitKey(cells[0], 0).Hash()
-	if s.UnitKey(cells[0], 0).Hash() != base {
+	base := s.UnitKey(cells[0], 0, 0).Hash()
+	if s.UnitKey(cells[0], 0, 0).Hash() != base {
 		t.Error("hash not stable")
 	}
-	if s.UnitKey(cells[0], 1).Hash() == base {
+	if s.UnitKey(cells[0], 1, 0).Hash() == base {
 		t.Error("hash ignores seed")
 	}
-	if s.UnitKey(cells[1], 0).Hash() == base {
+	if s.UnitKey(cells[1], 0, 0).Hash() == base {
 		t.Error("hash ignores cell")
 	}
+	if s.UnitKey(cells[0], 0, 1).Hash() == base {
+		t.Error("hash ignores block")
+	}
 	s.Epoch = "v2"
-	if s.UnitKey(cells[0], 0).Hash() == base {
+	if s.UnitKey(cells[0], 0, 0).Hash() == base {
 		t.Error("hash ignores epoch")
 	}
 	s.Epoch = "v1"
 	s.Config = "horizon=12s"
-	if s.UnitKey(cells[0], 0).Hash() == base {
+	if s.UnitKey(cells[0], 0, 0).Hash() == base {
 		t.Error("hash ignores config")
 	}
 }
@@ -370,11 +373,11 @@ func TestRunCtxCancelPersistsCompletedUnits(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var finished atomic.Int64
 	inner := s.Trial
-	s.Trial = func(cell Cell, seed int64) Metrics {
+	s.Trial = func(cell Cell, seed int64, block int) Metrics {
 		if finished.Add(1) == 10 {
 			cancel() // cancel with most units undispatched
 		}
-		return inner(cell, seed)
+		return inner(cell, seed, block)
 	}
 	e := &Engine{Store: cache, Workers: 4}
 	cells, st, err := e.RunCtx(ctx, s)

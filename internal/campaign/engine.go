@@ -92,11 +92,12 @@ func (e *Engine) emit(mu *sync.Mutex, ev Event) {
 	mu.Unlock()
 }
 
-// Run expands the spec into trial units, executes them (cache-first)
+// Run expands the spec into units, executes them (cache-first)
 // across the worker pool, and folds the results into per-cell trial
-// vectors. Determinism: units are indexed (cell-major, trial-minor)
+// vectors, concatenating each trial's blocks into one Metrics.
+// Determinism: units are indexed (cell-major, then trial, then block)
 // before execution and folded by index, so the fold sees the exact
-// sequence a serial double loop over (cell, trial) would produce —
+// sequence a serial loop over (cell, trial, block) would produce —
 // at any worker count, and whether a unit was computed or loaded.
 func (e *Engine) Run(spec *Spec) ([]CellResult, RunStats) {
 	cells, stats, err := e.RunCtx(context.Background(), spec)
@@ -234,7 +235,7 @@ func (e *Engine) RunCtx(ctx context.Context, spec *Spec) ([]CellResult, RunStats
 				return outcome{m: m}
 			}
 		}
-		m := spec.Trial(cells[u.Cell], u.Seed)
+		m := spec.Trial(cells[u.Cell], u.Seed, u.Block)
 		if e.Store != nil {
 			// A failed store (full disk, dead remote) degrades to
 			// recomputation on the next run; this run's result is
@@ -280,7 +281,20 @@ func (e *Engine) RunCtx(ctx context.Context, spec *Spec) ([]CellResult, RunStats
 	}
 	stats := RunStats{Units: len(units), PutFailed: putFailed}
 	for i, r := range results {
-		out[units[i].Cell].Trials = append(out[units[i].Cell].Trials, r.m)
+		u := units[i]
+		c := &out[u.Cell]
+		switch {
+		case u.Block > 0:
+			c.Trials[len(c.Trials)-1].Append(r.m)
+		case i+1 < len(units) && units[i+1].Block > 0:
+			// The first of several blocks: fold into a fresh Metrics so
+			// appending the later blocks never writes through to r.m.
+			m := make(Metrics, len(r.m))
+			m.Append(r.m)
+			c.Trials = append(c.Trials, m)
+		default:
+			c.Trials = append(c.Trials, r.m)
+		}
 		if r.computed {
 			stats.Computed++
 		} else {

@@ -12,10 +12,11 @@ import (
 // invalidates every cached unit of every spec.
 const EngineEpoch = "campaign/v1"
 
-// Key identifies one trial unit for caching: the spec's identity and
-// versions, the cell coordinates, and the unit's seed. Two units with
-// equal keys are guaranteed to compute identical Metrics, because the
-// trial body derives all randomness from the seed and cell alone.
+// Key identifies one unit for caching: the spec's identity and
+// versions, the cell coordinates, the unit's seed, and its block. Two
+// units with equal keys are guaranteed to compute identical Metrics,
+// because the trial body derives all randomness from the seed, cell
+// and block alone.
 type Key struct {
 	Engine     string `json:"engine"`
 	Experiment string `json:"experiment"`
@@ -23,10 +24,14 @@ type Key struct {
 	Config     string `json:"config,omitempty"`
 	Cell       Cell   `json:"cell"`
 	Seed       int64  `json:"seed"`
+	// Block is omitted at 0, so an unblocked spec's keys are the ones
+	// it had before specs could block.
+	Block int `json:"block,omitempty"`
 }
 
-// UnitKey builds the cache key for trial i of the given cell.
-func (s *Spec) UnitKey(cell Cell, trial int) Key {
+// UnitKey builds the cache key for block b of trial i of the given
+// cell.
+func (s *Spec) UnitKey(cell Cell, trial, block int) Key {
 	return Key{
 		Engine:     EngineEpoch,
 		Experiment: s.Name,
@@ -34,6 +39,7 @@ func (s *Spec) UnitKey(cell Cell, trial int) Key {
 		Config:     s.Config,
 		Cell:       cell,
 		Seed:       s.TrialSeed(trial),
+		Block:      block,
 	}
 }
 

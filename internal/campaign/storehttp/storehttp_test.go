@@ -158,7 +158,7 @@ func TestEngineOverRemoteStore(t *testing.T) {
 		Trials: 3,
 		Seed:   42,
 		Epoch:  "v1",
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			m := campaign.NewMetrics()
 			m.Add("v", float64(seed)+float64(cell.Int("a")))
 			return m

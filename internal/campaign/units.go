@@ -9,18 +9,21 @@ import (
 	"silenttracker/internal/runner"
 )
 
-// UnitRef identifies one trial unit of an expanded spec without
-// carrying its result: the coordination currency of distributed
-// execution. Unit order (Index) is cell-major, trial-minor — the
-// exact sequence the engine folds in — so any subset of units can be
-// computed anywhere, in any order, and the fold still sees a serial
-// double loop over (cell, trial).
+// UnitRef identifies one unit of an expanded spec without carrying
+// its result: the coordination currency of distributed execution. A
+// unit is one block of one trial of one cell. Unit order (Index) is
+// cell-major, then trial, then block — the exact sequence the engine
+// folds in — so any subset of units can be computed anywhere, in any
+// order, and the fold still sees a serial loop over (cell, trial,
+// block).
 type UnitRef struct {
 	// Index is the unit's position in spec expansion order.
 	Index int `json:"index"`
-	// Cell indexes into Spec.Cells(); Trial is the trial within it.
+	// Cell indexes into Spec.Cells(); Trial is the trial within it and
+	// Block the block within the trial (always 0 for an unblocked spec).
 	Cell  int `json:"cell"`
 	Trial int `json:"trial"`
+	Block int `json:"block,omitempty"`
 	// Seed is the trial's resolved seed under the spec's schedule.
 	Seed int64 `json:"seed"`
 	// Hash is the unit's content address in the result store ("" when
@@ -28,7 +31,7 @@ type UnitRef struct {
 	Hash string `json:"hash,omitempty"`
 }
 
-// Expand enumerates the spec's trial units in fold order. hash
+// Expand enumerates the spec's units in fold order. hash
 // controls whether each unit is content-addressed (the store key
 // computation is the expensive part of expansion; store-less runs
 // skip it).
@@ -41,12 +44,15 @@ func (s *Spec) Expand(hash bool) []UnitRef {
 func expandUnits(s *Spec, cells []Cell, hash bool) []UnitRef {
 	units := make([]UnitRef, 0, len(cells)*s.Trials)
 	for ci, cell := range cells {
+		nb := s.blocks(cell)
 		for t := 0; t < s.Trials; t++ {
-			u := UnitRef{Index: len(units), Cell: ci, Trial: t, Seed: s.TrialSeed(t)}
-			if hash {
-				u.Hash = s.UnitKey(cell, t).Hash()
+			for b := 0; b < nb; b++ {
+				u := UnitRef{Index: len(units), Cell: ci, Trial: t, Block: b, Seed: s.TrialSeed(t)}
+				if hash {
+					u.Hash = s.UnitKey(cell, t, b).Hash()
+				}
+				units = append(units, u)
 			}
-			units = append(units, u)
 		}
 	}
 	return units
@@ -104,7 +110,7 @@ func (e *Engine) ExecuteUnits(ctx context.Context, spec *Spec, indices []int) (E
 				return struct{}{}
 			}
 		}
-		m := spec.Trial(cells[u.Cell], u.Seed)
+		m := spec.Trial(cells[u.Cell], u.Seed, u.Block)
 		var putErr error
 		if e.Store != nil {
 			putErr = e.Store.Put(u.Hash, m)

@@ -71,7 +71,7 @@ func ThresholdCampaign(opts ThresholdOpts) *campaign.Spec {
 		SeedStride: 27644437,
 		Epoch:      "threshold/v2",
 		Config:     fmt.Sprintf("horizon=%d", opts.Horizon),
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			b := EdgeBuilder(seed)
 			b.Cfg.HandoverMarginDB = cell.Float("margin_db")
 			b.Mob = MobilityFor(Walk, seed)
@@ -165,7 +165,7 @@ func HysteresisCampaign(opts HysteresisOpts) *campaign.Spec {
 		Seed:       opts.Seed,
 		SeedStride: 6700417,
 		Epoch:      "hysteresis/v2",
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			b := EdgeBuilder(seed)
 			b.Cfg.TrackTriggerDB = cell.Float("trigger_db")
 			b.Mob = MobilityFor(Rotation, seed)

@@ -105,7 +105,7 @@ func BaselineCampaign(opts BaselineOpts) *campaign.Spec {
 		SeedStride: 179426549,
 		Epoch:      "baseline/v2",
 		Config:     fmt.Sprintf("horizon=%d", opts.Horizon),
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			var t BaselineRow
 			oneBaselineTrial(VariantNamed(cell.Get("variant")), seed, opts.Horizon, &t)
 			m := campaign.NewMetrics()

@@ -62,7 +62,7 @@ func CodebookCampaign(opts CodebookOpts) *campaign.Spec {
 		Seed:       opts.Seed,
 		SeedStride: 7919,
 		Epoch:      "codebook/v2",
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			n := cell.Int("beams")
 			b := EdgeBuilder(seed)
 			b.UEBook = antenna.NewRingCodebook(

@@ -72,7 +72,7 @@ func Fig2aCampaign(opts Fig2aOpts) *campaign.Spec {
 		SeedStride: 7919,
 		Epoch:      "fig2a/v2",
 		Config:     fmt.Sprintf("budget=%d,verify=%d", opts.ScanBudget, opts.Verify),
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			ok, dwells := SearchTrial(BeamConfigNamed(cell.Get("config")), seed, opts)
 			m := campaign.NewMetrics()
 			m.Record("ok", ok)

@@ -54,7 +54,7 @@ func Fig2cCampaign(opts Fig2cOpts) *campaign.Spec {
 		Seed:       opts.Seed,
 		SeedStride: 104729,
 		Epoch:      "fig2c/v2",
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			rec, ok := HandoverTrial(ScenarioNamed(cell.Get("scenario")), seed)
 			m := campaign.NewMetrics()
 			m.Record("completed", ok)

@@ -115,7 +115,7 @@ func HighwayCampaign(opts HighwayOpts) *campaign.Spec {
 		SeedStride: 31337,
 		Epoch:      "highway/v2",
 		Config:     fmt.Sprintf("%s horizons=%v", highwaySpec(1).Fingerprint(), horizons),
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			return highwayTrial(cell.Float("speed_mps"), seed)
 		},
 		Render: func(w io.Writer, cells []campaign.CellResult) {

@@ -95,7 +95,7 @@ func HotspotCampaign(opts HotspotOpts) *campaign.Spec {
 		SeedStride: 31337,
 		Epoch:      "hotspot/v2",
 		Config:     hotspotSpec(1).Fingerprint(),
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			return hotspotTrial(cell.Float("density"), seed)
 		},
 		Render: func(w io.Writer, cells []campaign.CellResult) {

@@ -60,7 +60,7 @@ func MobilityCampaign(opts MobilityOpts) *campaign.Spec {
 		Seed:       opts.Seed,
 		SeedStride: 31337,
 		Epoch:      "mobility/v2",
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			var t MobilityRow
 			oneAlignmentTrial(ScenarioNamed(cell.Get("scenario")), seed, &t)
 			m := campaign.NewMetrics()

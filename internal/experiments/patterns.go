@@ -62,7 +62,7 @@ func PatternsCampaign(opts PatternOpts) *campaign.Spec {
 		Seed:       opts.Seed,
 		SeedStride: 15485863,
 		Epoch:      "patterns/v2",
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+		Trial: func(cell campaign.Cell, seed int64, _ int) campaign.Metrics {
 			model := cell.Get("model")
 			sOpts := DefaultFig2aOpts()
 			m := campaign.NewMetrics()

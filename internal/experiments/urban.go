@@ -101,8 +101,16 @@ func urbanSpec(ues int) scenario.Spec {
 	}
 }
 
+// urbanBlock is how many UEs one urban unit runs: each trial of an
+// n-UE cell is split into ⌈n/urbanBlock⌉ blocks of consecutive UEs, so
+// a 100-UE trial costs the worker pool and the dist fleet ten units
+// about the size of a highway or hotspot unit instead of one ten times
+// larger. Changing it moves every urban content address: bump the
+// spec epoch with it.
+const urbanBlock = 10
+
 // UrbanCampaign declares the urban family as a campaign spec with the
-// fleet size as the sweep axis.
+// fleet size as the sweep axis and each trial split into UE blocks.
 func UrbanCampaign(opts UrbanOpts) *campaign.Spec {
 	values := make([]string, len(opts.UEs))
 	for i, n := range opts.UEs {
@@ -117,10 +125,14 @@ func UrbanCampaign(opts UrbanOpts) *campaign.Spec {
 		Trials:     opts.Trials,
 		Seed:       opts.Seed,
 		SeedStride: 31337,
-		Epoch:      "urban/v2",
+		Epoch:      "urban/v3",
 		Config:     urbanSpec(1).Fingerprint(),
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
-			return urbanTrial(cell.Int("ues"), seed)
+		Blocks: func(cell campaign.Cell) int {
+			return (cell.Int("ues") + urbanBlock - 1) / urbanBlock
+		},
+		Trial: func(cell campaign.Cell, seed int64, block int) campaign.Metrics {
+			ues := cell.Int("ues")
+			return urbanTrial(ues, seed, block*urbanBlock, min((block+1)*urbanBlock, ues))
 		},
 		Render: func(w io.Writer, cells []campaign.CellResult) {
 			WriteUrban(w, UrbanRows(cells, opts.Trials))
@@ -128,13 +140,16 @@ func UrbanCampaign(opts UrbanOpts) *campaign.Spec {
 	}
 }
 
-// urbanTrial compiles and runs one fleet; each UE contributes one
-// observation per metric, appended in UE index order so folds are
-// deterministic.
-func urbanTrial(ues int, seed int64) campaign.Metrics {
+// urbanTrial compiles the whole fleet and runs UEs [lo, hi) of it;
+// each UE contributes one observation per metric, appended in UE index
+// order. Every UE's world draws from its own rng.ChildSeed stream, so
+// a block's observations are exactly that UE range's slice of the
+// whole fleet's, and the fold's block concatenation rebuilds the
+// whole trial.
+func urbanTrial(ues int, seed int64, lo, hi int) campaign.Metrics {
 	dep := scenario.Compile(urbanSpec(ues), seed)
 	m := campaign.NewMetrics()
-	for i := 0; i < dep.NumUEs(); i++ {
+	for i := lo; i < hi; i++ {
 		w := dep.BuildUE(i)
 		w.Run(urbanHorizon)
 		m.Add("handovers", float64(w.Tracker.HandoversDone))

@@ -233,7 +233,8 @@ type Info struct {
 	// Title is the banner headline; Description the one-line summary.
 	Title       string `json:"title"`
 	Description string `json:"description"`
-	// Cells × Trials = Units at the client's settings.
+	// Units counts the sweep's units at the client's settings: Cells ×
+	// Trials, times the blocks per trial where a spec splits trials.
 	Cells  int `json:"cells"`
 	Trials int `json:"trials"`
 	Units  int `json:"units"`
@@ -278,7 +279,7 @@ type Axis struct {
 }
 
 // CellKey pairs one grid cell with the content-address of its first
-// trial unit in the result cache.
+// unit (trial 0, block 0) in the result cache.
 type CellKey struct {
 	Cell Cell   `json:"cell"`
 	Key  string `json:"key"`
@@ -413,7 +414,7 @@ func (s *Session) Describe() *Description {
 	cells := spec.Cells()
 	keys := make([]CellKey, len(cells))
 	for i, cell := range cells {
-		keys[i] = CellKey{Cell: publicCell(cell), Key: spec.UnitKey(cell, 0).Hash()}
+		keys[i] = CellKey{Cell: publicCell(cell), Key: spec.UnitKey(cell, 0, 0).Hash()}
 	}
 	return &Description{
 		Name:        spec.Name,

@@ -27,13 +27,16 @@ import (
 // which reads units from the shared store in index order — is
 // at-most-once by construction.
 
-// UnitRef identifies one trial unit of an expanded spec: its position
-// in deterministic fold order, its cell/trial coordinates, resolved
-// seed, and content address in the result store.
+// UnitRef identifies one unit of an expanded spec — one block of one
+// trial of one cell: its position in deterministic fold order, its
+// cell/trial/block coordinates, resolved seed, and content address in
+// the result store. Block is 0 for every unit of a spec whose trials
+// are not split.
 type UnitRef struct {
 	Index int    `json:"index"`
 	Cell  int    `json:"cell"`
 	Trial int    `json:"trial"`
+	Block int    `json:"block,omitempty"`
 	Seed  int64  `json:"seed"`
 	Hash  string `json:"hash,omitempty"`
 }
