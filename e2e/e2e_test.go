@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"silenttracker/internal/campaign"
 )
 
 // binDir holds the binaries TestMain builds once for the whole run.
@@ -293,17 +295,23 @@ func TestCampaignRunSIGINT(t *testing.T) {
 	}
 }
 
-// countCacheEntries counts persisted trial units (the CACHEDIR.TAG
-// marker is not a .json file, so it never counts).
+// countCacheEntries counts the trial units persisted in the cache at
+// dir, through the cache's own index. A directory the run has not
+// created yet holds none.
 func countCacheEntries(t testing.TB, dir string) int {
 	t.Helper()
-	n := 0
-	_ = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
+	if _, err := os.Stat(dir); os.IsNotExist(err) {
+		return 0
+	}
+	c, err := campaign.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n, err := c.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return n
 }
 

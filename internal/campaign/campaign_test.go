@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // syntheticSpec is a deterministic toy sweep: two axes, metrics
@@ -180,12 +179,9 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An intact record whose entry does not decode.
 	h := Key{Experiment: "t", Seed: 2}.Hash()
-	path := filepath.Join(dir, h[:2], h+".json")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
+	if err := c.putRaw(h, []byte("{torn")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(h); ok {
@@ -195,6 +191,30 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	ts := c.Stats()[0]
 	if ts.Corrupt != 1 || ts.Misses != 0 || ts.Hits != 0 {
 		t.Errorf("corrupt entry counted as %+v, want corrupt=1 misses=0", ts)
+	}
+
+	// A record damaged on disk after it was indexed fails its CRC at
+	// Get: also corrupt, also a miss.
+	h2 := Key{Experiment: "t", Seed: 3}.Hash()
+	m := NewMetrics()
+	m.Add("x", 1)
+	if err := c.Put(h2, m); err != nil {
+		t.Fatal(err)
+	}
+	seg := segFiles(t, dir)[0]
+	buf, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-2] ^= 0xff // inside the last record's entry
+	if err := os.WriteFile(seg, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(h2); ok {
+		t.Fatal("damaged record served as hit")
+	}
+	if ts := c.Stats()[0]; ts.Corrupt != 2 || ts.Misses != 0 || ts.Hits != 0 {
+		t.Errorf("damaged record counted as %+v, want corrupt=2 misses=0", ts)
 	}
 }
 
@@ -220,44 +240,6 @@ func TestOpenRefusesForeignDir(t *testing.T) {
 	}
 	if _, err := Open(empty); err != nil {
 		t.Fatalf("Open rejected its own cache: %v", err)
-	}
-}
-
-func TestOpenSweepsStaleTemps(t *testing.T) {
-	dir := t.TempDir() + "/cache"
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := Key{Experiment: "t", Seed: 3}.Hash()
-	m := NewMetrics()
-	m.Add("x", 1)
-	if err := c.Put(h, m); err != nil {
-		t.Fatal(err)
-	}
-	sub := filepath.Join(dir, h[:2])
-	stale := filepath.Join(sub, h+".tmp123")
-	fresh := filepath.Join(sub, h+".tmp456")
-	for _, p := range []string{stale, fresh} {
-		if err := os.WriteFile(p, []byte("{"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * staleTempAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp survived reopen")
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Error("fresh temp (possibly a concurrent run's) was swept")
-	}
-	if _, ok := c.Get(h); !ok {
-		t.Error("valid entry lost in sweep")
 	}
 }
 

@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +13,7 @@ import (
 )
 
 // FuzzCacheGet feeds arbitrary bytes to the store backends' shared
-// entry decoder — through a disk entry file, a MemStore slot, and a
+// entry decoder — through a disk record, a MemStore slot, and a
 // mem+disk Tiered composition. The contract under attack: a corrupt,
 // truncated, or adversarial entry must always decode as a miss or as
 // well-formed Metrics — never panic, never produce a value that
@@ -47,11 +50,7 @@ func FuzzCacheGet(f *testing.F) {
 			t.Fatal(err)
 		}
 		const hash = "00deadbeef00deadbeef00deadbeef00deadbeef00deadbeef00deadbeef0000"
-		path := cache.path(hash)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, entry, 0o644); err != nil {
+		if err := cache.putRaw(hash, entry); err != nil {
 			t.Fatal(err)
 		}
 
@@ -115,5 +114,98 @@ func FuzzCacheGet(f *testing.F) {
 			_ = m.Scalar(name)
 		}
 		_ = m.Names()
+	})
+}
+
+// FuzzSegmentScan feeds arbitrary bytes to Open as a segment file. The
+// contract under attack: Open never panics; a record that is cut short
+// or fails its CRC is never served, nor is anything after it in the
+// segment; every intact record before the first damaged one is served
+// exactly as the entry decoder reads it; and the store stays writable.
+func FuzzSegmentScan(f *testing.F) {
+	rec := func(i byte, entry string) []byte {
+		return appendRecord(nil, [32]byte{i}, []byte(entry))
+	}
+	two := append(rec(1, `{"v":[1]}`), rec(2, `{"v":[2,3]}`)...)
+	f.Add(two)
+	f.Add(append(two, rec(1, `{"v":[4]}`)...)) // a later record wins
+	for i := 0; i < len(two); i += 5 {
+		f.Add(two[:i]) // torn tails
+	}
+	flipped := append([]byte(nil), two...)
+	flipped[recHeader+2] ^= 1 // first record's entry
+	f.Add(flipped)
+	huge := rec(3, `{}`)
+	huge[3] = 0xff // length field past any real entry
+	f.Add(append(huge, two...))
+	f.Add(rec(4, `null`))
+	f.Add(rec(5, ``))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, segDirName), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, markerName), []byte(markerContent), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segDirName, "fuzz"+segExt), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+
+		// Reference parse: intact records up to the first damaged one
+		// (latest wins per hash), then the hash of the damaged record
+		// and of every header its length field leads on to.
+		intact := map[[32]byte][]byte{}
+		var damaged [][32]byte
+		for off := 0; len(data)-off >= recHeader; {
+			hdr := data[off : off+recHeader]
+			n := int(binary.LittleEndian.Uint32(hdr))
+			end := off + recHeader + n
+			ok := n <= maxEntryBytes && end <= len(data) &&
+				crc32.Checksum(data[off+8:end], crc32.MakeTable(crc32.Castagnoli)) == binary.LittleEndian.Uint32(hdr[4:])
+			if ok && damaged == nil {
+				intact[[32]byte(hdr[8:])] = data[off+recHeader : end]
+			} else {
+				damaged = append(damaged, [32]byte(hdr[8:]))
+			}
+			if end > len(data) || end <= off {
+				break
+			}
+			off = end
+		}
+
+		for key, entry := range intact {
+			want, wok := decodeEntry(entry)
+			got, ok := c.Get(hex.EncodeToString(key[:]))
+			if ok != wok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("intact record %x: got %v, %v; want %v, %v", key, got, ok, want, wok)
+			}
+		}
+		for _, key := range damaged {
+			if _, ok := intact[key]; ok {
+				continue
+			}
+			if m, ok := c.Get(hex.EncodeToString(key[:])); ok {
+				t.Fatalf("damaged record %x served: %v", key, m)
+			}
+		}
+		if n, _ := c.Entries(); n != len(intact) {
+			t.Fatalf("Entries = %d, want %d", n, len(intact))
+		}
+
+		h := strings.Repeat("ab", 32)
+		if err := c.Put(h, Metrics{"x": {1}}); err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := c.Get(h); !ok || !reflect.DeepEqual(m, Metrics{"x": {1}}) {
+			t.Fatalf("Put after a damaged scan: %v, %v", m, ok)
+		}
 	})
 }
