@@ -40,13 +40,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // DiskStore is the content-addressed on-disk result store: an
 // append-only log of framed records in segment files under
-// <dir>/seg/. A record is [len | crc32c | 32-byte hash | entry JSON],
-// the entry being the canonical encoding every tier shares. Each
-// store appends to one segment of its own, created with O_EXCL on its
-// first Put (so two stores never write the same file), and every Put
-// is a single write; an in-memory index maps each hash to the
-// segment, offset and length of its latest record. It is the durable
-// middle tier of a Tiered store, and the default store on its own.
+// <dir>/seg/. A record is [len | crc32c | 32-byte hash | entry], the
+// entry being the canonical binary encoding every tier shares
+// (EncodeEntry). Each store appends to one segment of its own,
+// created with O_EXCL on its first Put (so two stores never write the
+// same file), and every Put is a single write; an in-memory index
+// maps each hash to the segment, offset and length of its latest
+// record. It is the durable middle tier of a Tiered store, and the
+// default store on its own.
 //
 // Visibility: Open indexes every intact record already in the
 // directory, and a Get that misses the index re-scans the directory
@@ -251,7 +252,7 @@ func (c *DiskStore) lookup(key [sha256.Size]byte) (loc, bool) {
 
 // Get loads the metrics stored under the hash. A missing entry (or a
 // malformed hash) is a miss; a present but unreadable one (torn
-// record, damaged bytes, undecodable JSON) is counted corrupt and
+// record, damaged bytes, an undecodable entry) is counted corrupt and
 // served as a miss — never an error: the engine just recomputes the
 // unit.
 func (c *DiskStore) Get(hash string) (Metrics, bool) {
@@ -274,7 +275,7 @@ func (c *DiskStore) Get(hash string) (Metrics, bool) {
 		c.stats.corrupt.Add(1)
 		return nil, false
 	}
-	m, ok := decodeEntry(entry)
+	m, ok := DecodeEntry(entry)
 	if !ok {
 		c.stats.corrupt.Add(1)
 		return nil, false
@@ -314,7 +315,7 @@ func (c *DiskStore) read(key [sha256.Size]byte, l loc) ([]byte, bool) {
 
 // Put appends the metrics under the hash as one record.
 func (c *DiskStore) Put(hash string, m Metrics) error {
-	buf, err := marshalEntry(m)
+	buf, err := EncodeEntry(m)
 	if err == nil {
 		err = c.putRaw(hash, buf)
 	}

@@ -71,7 +71,7 @@ func TestOpenTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := appendRecord(nil, [32]byte{9}, []byte(`{"v":[9]}`))
+	bad := appendRecord(nil, [32]byte{9}, mustEncode(testMetrics(9)))
 	bad[len(bad)-1] ^= 1
 	if _, err := f.Write(append(bad, 1, 2, 3)); err != nil {
 		t.Fatal(err)
@@ -245,5 +245,45 @@ func TestDiskStoreTwoWriters(t *testing.T) {
 		if ts := s.Stats()[0]; ts.Corrupt != 0 || ts.Errors != 0 {
 			t.Errorf("stats %+v", ts)
 		}
+	}
+}
+
+// TestJSONEraEntrySelfHeals: a segment written before the binary
+// entry codec holds JSON entries. Each reads as one counted corrupt
+// miss; the recomputed unit's Put appends a binary record under the
+// same hash, which wins from then on, in this store and after reopen.
+func TestJSONEraEntrySelfHeals(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.putRaw(testHash(1), []byte(`{"v":[1,0.5]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := s.Get(testHash(1)); ok {
+		t.Fatalf("JSON-era entry served: %v", m)
+	}
+	if err := s.Put(testHash(1), testMetrics(1)); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := s.Get(testHash(1)); !ok || !reflect.DeepEqual(m, testMetrics(1)) {
+		t.Fatalf("recomputed entry = %v, %v", m, ok)
+	}
+	if ts := s.Stats()[0]; ts.Corrupt != 1 || ts.Hits != 1 {
+		t.Errorf("stats = %+v, want corrupt=1 hits=1", ts)
+	}
+	s.Close()
+
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if m, ok := r.Get(testHash(1)); !ok || !reflect.DeepEqual(m, testMetrics(1)) {
+		t.Fatalf("after reopen = %v, %v", m, ok)
+	}
+	if ts := r.Stats()[0]; ts.Corrupt != 0 {
+		t.Errorf("reopened store counted corrupt: %+v", ts)
 	}
 }

@@ -98,9 +98,8 @@ func (c Cell) String() string {
 // (0/1) use the same shape, and concatenating vectors across blocks
 // and trials in unit order reproduces exactly the observation
 // sequence the old serial accumulators saw. Metrics round-trip
-// through JSON without loss (Go marshals float64
-// shortest-round-trip), which is what makes warm cache runs
-// byte-identical to cold ones.
+// through the store's entry codec (EncodeEntry) bit for bit, which is
+// what makes warm cache runs byte-identical to cold ones.
 type Metrics map[string][]float64
 
 // NewMetrics returns an empty metrics set.

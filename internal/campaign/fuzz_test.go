@@ -1,9 +1,9 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -23,13 +23,27 @@ import (
 // read back under another key's hash.)
 func FuzzCacheGet(f *testing.F) {
 	// Well-formed entries.
+	f.Add(mustEncode(Metrics{}))
+	f.Add(mustEncode(Metrics{"lat_ms": {1.5, 2.25}, "ok": {1, 0, 1}}))
+	f.Add(mustEncode(Metrics{"x": nil}))
+	f.Add(mustEncode(Metrics{"deep": {1, 2, 3}, "deep_ok": {4}, "deep_n": {9}}))
+	// Truncations of a real entry (torn write from a killed run).
+	whole := mustEncode(Metrics{"misalign_deg": {0.125, 3.5, 11.75}, "ho_done": {1}})
+	for i := 0; i < len(whole); i += 7 {
+		f.Add(whole[:i])
+	}
+	// Binary structural attacks: trailing bytes, unsorted names, a
+	// count far past the body.
+	f.Add(append(bytes.Clone(whole), 0))
+	f.Add(field(field([]byte{entryVersion}, "b", 1, 1), "a", 1, 1))
+	f.Add(field([]byte{entryVersion}, "a", 1<<60, 1))
+	// JSON-era entries, well-formed ones included: all corrupt now.
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"lat_ms":[1.5,2.25],"ok":[1,0,1]}`))
 	f.Add([]byte(`{"x":[]}`))
-	// Truncations of a real entry (torn write from a killed run).
-	whole := []byte(`{"misalign_deg":[0.125,3.5,11.75],"ho_done":[1]}`)
-	for i := 0; i < len(whole); i += 7 {
-		f.Add(whole[:i])
+	jsonWhole := []byte(`{"misalign_deg":[0.125,3.5,11.75],"ho_done":[1]}`)
+	for i := 0; i < len(jsonWhole); i += 7 {
+		f.Add(jsonWhole[:i])
 	}
 	// Type confusion and structural attacks.
 	f.Add([]byte(`[]`))
@@ -92,16 +106,19 @@ func FuzzCacheGet(f *testing.F) {
 			t.Fatalf("hit returned nil metrics for entry %q", entry)
 		}
 
-		// A hit must be exactly the JSON-decodable subset: re-encoding
-		// and re-decoding must reproduce it (this is what warm runs
+		// A hit must re-encode to exactly the bytes it was read from
+		// and decode again to the same value (this is what warm runs
 		// rely on for byte-identical tables).
-		buf, err := json.Marshal(m)
+		buf, err := EncodeEntry(m)
 		if err != nil {
 			t.Fatalf("decoded metrics do not re-encode: %v (%q)", err, entry)
 		}
-		var again Metrics
-		if err := json.Unmarshal(buf, &again); err != nil {
-			t.Fatalf("re-encoded metrics do not decode: %v", err)
+		if !bytes.Equal(buf, entry) {
+			t.Fatalf("entry %x re-encodes as %x", entry, buf)
+		}
+		again, ok := DecodeEntry(buf)
+		if !ok || !reflect.DeepEqual(again, m) {
+			t.Fatalf("re-encoded metrics decode as %v, %v; want %v", again, ok, m)
 		}
 
 		// And it must not poison a fold: every accessor the row
@@ -123,23 +140,24 @@ func FuzzCacheGet(f *testing.F) {
 // segment; every intact record before the first damaged one is served
 // exactly as the entry decoder reads it; and the store stays writable.
 func FuzzSegmentScan(f *testing.F) {
-	rec := func(i byte, entry string) []byte {
-		return appendRecord(nil, [32]byte{i}, []byte(entry))
+	rec := func(i byte, entry []byte) []byte {
+		return appendRecord(nil, [32]byte{i}, entry)
 	}
-	two := append(rec(1, `{"v":[1]}`), rec(2, `{"v":[2,3]}`)...)
+	v := func(vs ...float64) []byte { return mustEncode(Metrics{"v": vs}) }
+	two := append(rec(1, v(1)), rec(2, v(2, 3))...)
 	f.Add(two)
-	f.Add(append(two, rec(1, `{"v":[4]}`)...)) // a later record wins
+	f.Add(append(two, rec(1, v(4))...)) // a later record wins
 	for i := 0; i < len(two); i += 5 {
 		f.Add(two[:i]) // torn tails
 	}
 	flipped := append([]byte(nil), two...)
 	flipped[recHeader+2] ^= 1 // first record's entry
 	f.Add(flipped)
-	huge := rec(3, `{}`)
+	huge := rec(3, mustEncode(Metrics{}))
 	huge[3] = 0xff // length field past any real entry
 	f.Add(append(huge, two...))
-	f.Add(rec(4, `null`))
-	f.Add(rec(5, ``))
+	f.Add(rec(4, []byte(`{"v":[1]}`))) // intact record, JSON-era entry
+	f.Add(rec(5, nil))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -182,7 +200,7 @@ func FuzzSegmentScan(f *testing.F) {
 		}
 
 		for key, entry := range intact {
-			want, wok := decodeEntry(entry)
+			want, wok := DecodeEntry(entry)
 			got, ok := c.Get(hex.EncodeToString(key[:]))
 			if ok != wok || !reflect.DeepEqual(got, want) {
 				t.Fatalf("intact record %x: got %v, %v; want %v, %v", key, got, ok, want, wok)

@@ -109,7 +109,7 @@ func (s *HTTPStore) GetE(hash string) (Metrics, bool, error) {
 		s.stats.corrupt.Add(1)
 		return nil, false, Terminal(fmt.Errorf("campaign: remote get: entry exceeds %d bytes", maxEntryBytes))
 	}
-	m, ok := decodeEntry(buf)
+	m, ok := DecodeEntry(buf)
 	if !ok {
 		s.stats.corrupt.Add(1)
 		return nil, false, Terminal(fmt.Errorf("campaign: remote get: undecodable entry"))
@@ -122,7 +122,7 @@ func (s *HTTPStore) GetE(hash string) (Metrics, bool, error) {
 // engine treats a failed store write as non-fatal — but it is tallied
 // so a dead remote shows up in the run's tier stats.
 func (s *HTTPStore) Put(hash string, m Metrics) error {
-	buf, err := marshalEntry(m)
+	buf, err := EncodeEntry(m)
 	if err != nil {
 		s.stats.errors.Add(1)
 		return Terminal(err)
@@ -132,7 +132,7 @@ func (s *HTTPStore) Put(hash string, m Metrics) error {
 		s.stats.errors.Add(1)
 		return Terminal(fmt.Errorf("campaign: remote put: %w", err))
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := s.client.Do(req)
 	if err != nil {
 		s.stats.errors.Add(1)

@@ -60,7 +60,7 @@ func TestHTTPStoreErrorPathsReuseConnection(t *testing.T) {
 				w.WriteHeader(http.StatusNoContent)
 				return
 			}
-			buf, _ := marshalEntry(Metrics{"v": {1}})
+			buf, _ := EncodeEntry(Metrics{"v": {1}})
 			w.Write(buf)
 		}
 	}))

@@ -8,8 +8,10 @@ import (
 )
 
 // EngineEpoch versions the campaign engine itself: the unit key
-// schema, the Metrics serialisation, and the fold rules. Bumping it
-// invalidates every cached unit of every spec.
+// schema and the fold rules. Bumping it invalidates every cached unit
+// of every spec. The stored Metrics encoding is versioned separately,
+// by the entry's own version byte (see EncodeEntry), so a new entry
+// format changes no content address.
 const EngineEpoch = "campaign/v1"
 
 // Key identifies one unit for caching: the spec's identity and

@@ -70,7 +70,7 @@ func (s *MemStore) Get(hash string) (Metrics, bool) {
 		s.stats.misses.Add(1)
 		return nil, false
 	}
-	m, ok := decodeEntry(buf)
+	m, ok := DecodeEntry(buf)
 	if !ok {
 		// A corrupt entry can never become a hit; drop it so the slot
 		// is reusable and the corrupt count reflects distinct entries.
@@ -85,7 +85,7 @@ func (s *MemStore) Get(hash string) (Metrics, bool) {
 // Put stores the metrics under the hash, evicting least recently
 // used entries as needed to respect the budget.
 func (s *MemStore) Put(hash string, m Metrics) error {
-	buf, err := marshalEntry(m)
+	buf, err := EncodeEntry(m)
 	if err != nil {
 		s.stats.errors.Add(1)
 		return err

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -62,9 +61,9 @@ type TierStats struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Corrupt counts entries that were present but undecodable (torn
-	// write, hand-edited file, JSON null). Served as misses to the
-	// caller, but distinguished here: a growing corrupt count means
-	// the backend is damaging entries, not merely cold.
+	// write, hand-edited file, an entry in an older format). Served as
+	// misses to the caller, but distinguished here: a growing corrupt
+	// count means the backend is damaging entries, not merely cold.
 	Corrupt int64 `json:"corrupt,omitempty"`
 	// Evicted counts entries dropped to stay inside a size budget.
 	Evicted int64 `json:"evicted,omitempty"`
@@ -158,29 +157,6 @@ func (c *counters) snapshot(tier string) TierStats {
 		Evicted: c.evicted.Load(),
 		Errors:  c.errors.Load(),
 	}
-}
-
-// marshalEntry encodes metrics into the canonical entry form every
-// backend stores — the same JSON the disk store has always written,
-// so entries are portable across tiers byte for byte.
-func marshalEntry(m Metrics) ([]byte, error) {
-	buf, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: store put: %w", err)
-	}
-	return buf, nil
-}
-
-// decodeEntry decodes one stored entry's bytes. ok=false means the
-// entry is corrupt: undecodable, or the JSON `null` that unmarshals
-// into a nil map without error — serving that as a hit would silently
-// fold zero observations for the unit.
-func decodeEntry(buf []byte) (Metrics, bool) {
-	var m Metrics
-	if err := json.Unmarshal(buf, &m); err != nil || m == nil {
-		return nil, false
-	}
-	return m, true
 }
 
 // Tiered composes stores into a read-through / write-through

@@ -55,7 +55,7 @@ func TestMemStoreLRUEviction(t *testing.T) {
 	// length, so account each one's real cost).
 	cost := func(i int) int64 {
 		t.Helper()
-		buf, err := marshalEntry(testMetrics(i))
+		buf, err := EncodeEntry(testMetrics(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,8 +121,8 @@ func TestMemStoreReplaceSameHash(t *testing.T) {
 
 func TestMemStoreCorruptEntryIsMissAndDropped(t *testing.T) {
 	s := NewMemStore(1 << 20)
-	s.putRaw(testHash(1), []byte(`{"v":[1,`)) // torn entry
-	s.putRaw(testHash(2), []byte(`null`))     // decodes to a nil map
+	s.putRaw(testHash(1), mustEncode(testMetrics(1))[:5]) // torn entry
+	s.putRaw(testHash(2), []byte(`null`))                 // JSON-era entry
 	for _, h := range []string{testHash(1), testHash(2)} {
 		if m, ok := s.Get(h); ok || m != nil {
 			t.Fatalf("corrupt entry %s read as hit: %v", h, m)
@@ -259,7 +259,7 @@ func TestHTTPStoreDegradesToMiss(t *testing.T) {
 	})
 
 	t.Run("well-formed entry is a hit", func(t *testing.T) {
-		entry, err := marshalEntry(testMetrics(7))
+		entry, err := EncodeEntry(testMetrics(7))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,9 @@
 // httptest server in tests) turns a local store into a shared warm
 // tier for distributed workers:
 //
-//	GET  /units/<hash>  →  200 + entry JSON, or 404 on a miss
-//	PUT  /units/<hash>  →  204 after a durable store write
+//	GET  /units/<hash>  →  200 + entry bytes, or 404 on a miss
+//	PUT  /units/<hash>  →  204 after a durable store write; 400 for
+//	                       an entry that does not decode
 //	GET  /stats         →  200 + the backing store's []TierStats
 //	GET  /healthz       →  health JSON: 200 while healthy, 503 while
 //	                       the backing store reports degraded
@@ -14,7 +15,9 @@
 //
 // Unit hashes are the engine's content addresses (64 hex chars) and
 // are validated strictly, so a crafted path can never escape into
-// the backing store's namespace.
+// the backing store's namespace. Entry bodies are
+// application/octet-stream in campaign.EncodeEntry's binary form,
+// the same bytes every store tier holds.
 //
 // Server-side fault mode: hand Handler a store wrapped in a
 // campaign.FaultStore and the server becomes a deterministic flaky
@@ -183,12 +186,12 @@ func serveGet(w http.ResponseWriter, s campaign.Store, hash string) {
 		http.Error(w, "storehttp: no such unit", http.StatusNotFound)
 		return
 	}
-	buf, err := json.Marshal(m)
+	buf, err := campaign.EncodeEntry(m)
 	if err != nil {
 		http.Error(w, "storehttp: encode entry", http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(buf)
 }
 
@@ -199,9 +202,9 @@ func servePut(w http.ResponseWriter, r *http.Request, s campaign.Store, hash str
 		return
 	}
 	// Decode before storing: the store must never hold an entry that
-	// would read back corrupt, and a JSON null decodes to a nil map.
-	var m campaign.Metrics
-	if err := json.Unmarshal(buf, &m); err != nil || m == nil {
+	// would read back corrupt.
+	m, ok := campaign.DecodeEntry(buf)
+	if !ok {
 		http.Error(w, "storehttp: malformed entry", http.StatusBadRequest)
 		return
 	}

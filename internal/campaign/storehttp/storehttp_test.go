@@ -3,6 +3,8 @@ package storehttp_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -75,7 +77,20 @@ func TestMalformedHashRejected(t *testing.T) {
 
 func TestMalformedEntryRejected(t *testing.T) {
 	srv, backing := newServer(t)
-	for _, body := range []string{`{"v":[1,`, `null`, `[]`, `"x"`} {
+	good, err := campaign.EncodeEntry(campaign.Metrics{"v": {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		// JSON-era entries, valid ones included: the wire carries only
+		// the binary codec now.
+		`{"v":[1,`, `null`, `[]`, `"x"`, `{"v":[1]}`,
+		"",
+		string(good[:len(good)-3]), // truncated value
+		string(good) + "\x00",      // trailing byte
+		"\x02" + string(good[1:]),  // unknown version
+		"\x01\x01v\x01\x01\x00\x00\x00\x00\x00\xf8\x7f", // a NaN value
+	} {
 		req, err := http.NewRequest(http.MethodPut, srv.URL+"/units/"+hash, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -91,6 +106,98 @@ func TestMalformedEntryRejected(t *testing.T) {
 	}
 	if backing.Len() != 0 {
 		t.Error("malformed entries were stored")
+	}
+}
+
+// TestEntryContentType: both directions of the units route carry the
+// binary entry codec and say so.
+func TestEntryContentType(t *testing.T) {
+	backing := campaign.NewMemStore(1 << 20)
+	h := storehttp.Handler(backing)
+	var putType string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut {
+			putType = r.Header.Get("Content-Type")
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	want := campaign.Metrics{"v": {1}}
+	if err := campaign.NewHTTPStore(srv.URL, nil).Put(hash, want); err != nil {
+		t.Fatal(err)
+	}
+	if putType != "application/octet-stream" {
+		t.Errorf("client PUT content type %q, want application/octet-stream", putType)
+	}
+	resp, err := http.Get(srv.URL + "/units/" + hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("GET content type %q, want application/octet-stream", ct)
+	}
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	if entry, _ := campaign.EncodeEntry(want); !bytes.Equal(body.Bytes(), entry) {
+		t.Errorf("GET body %x, want the encoded entry %x", body.Bytes(), entry)
+	}
+}
+
+// TestPutRefusesNonFinite: an entry holding NaN or ±Inf is refused by
+// every backend's Put — as json.Marshal refused it before the binary
+// codec — so such a unit is never cached and the engine counts it
+// PutFailed. Signed zero and subnormals are finite and round-trip bit
+// for bit.
+func TestPutRefusesNonFinite(t *testing.T) {
+	disk, err := campaign.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	srv, _ := newServer(t)
+	stores := []struct {
+		name  string
+		store campaign.Store
+	}{
+		{"mem", campaign.NewMemStore(1 << 20)},
+		{"disk", disk},
+		{"http", campaign.NewHTTPStore(srv.URL, nil)},
+	}
+	negZero := math.Copysign(0, -1)
+	for i, tc := range []struct {
+		name   string
+		m      campaign.Metrics
+		refuse bool
+	}{
+		{"NaN", campaign.Metrics{"v": {1, math.NaN()}}, true},
+		{"+Inf", campaign.Metrics{"v": {math.Inf(1)}}, true},
+		{"-Inf", campaign.Metrics{"a": {1}, "v": {math.Inf(-1)}}, true},
+		{"-0", campaign.Metrics{"v": {negZero, 0}}, false},
+		{"subnormal", campaign.Metrics{"v": {math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1060}}, false},
+		{"extremes", campaign.Metrics{"v": {math.MaxFloat64, -math.MaxFloat64}}, false},
+	} {
+		for j, st := range stores {
+			h := fmt.Sprintf("%064x", i*len(stores)+j)
+			err := st.store.Put(h, tc.m)
+			got, ok := st.store.Get(h)
+			if tc.refuse {
+				if err == nil || ok {
+					t.Errorf("%s/%s: Put err = %v, Get ok = %v; want refused and absent", tc.name, st.name, err, ok)
+				}
+				continue
+			}
+			if err != nil || !ok {
+				t.Fatalf("%s/%s: Put err = %v, Get ok = %v", tc.name, st.name, err, ok)
+			}
+			for i, v := range tc.m["v"] {
+				if math.Float64bits(got["v"][i]) != math.Float64bits(v) {
+					t.Errorf("%s/%s: value %d read back %v (bits %x), want bits %x",
+						tc.name, st.name, i, got["v"][i], math.Float64bits(got["v"][i]), math.Float64bits(v))
+				}
+			}
+		}
 	}
 }
 
@@ -115,7 +222,7 @@ func TestMethodNotAllowed(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	srv, backing := newServer(t)
-	entry, err := json.Marshal(campaign.Metrics{"v": {1}})
+	entry, err := campaign.EncodeEntry(campaign.Metrics{"v": {1}})
 	if err != nil {
 		t.Fatal(err)
 	}

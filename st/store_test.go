@@ -418,3 +418,91 @@ func TestWithRemoteRetryFlakyRemote(t *testing.T) {
 		t.Errorf("chaos counters did not replay:\nfirst  %+v\nsecond %+v", ts, second.Stats.Store[0])
 	}
 }
+
+// renderBoth renders a result the two ways stcampaign prints it: the
+// -json document and the text table.
+func renderBoth(t *testing.T, res *st.Result) (jsonOut, text string) {
+	t.Helper()
+	var j, x bytes.Buffer
+	if err := st.RenderJSON(&j, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.RenderCampaignText(&x, res); err != nil {
+		t.Fatal(err)
+	}
+	return j.String(), x.String()
+}
+
+// TestColdWarmRenderAllCampaigns is the store's decode gate over every
+// campaign: one cold quick run writes through mem, disk and a remote
+// storehttp tier; then warm runs read each unit back from the mem tier
+// (mem+disk), the disk tier alone, and the remote tier alone. Each
+// warm run must compute nothing and render the -json document and the
+// text table byte for byte as the cold run did. The -json form prints
+// every raw vector, so it catches what the tables fold away: an empty
+// vector must read back as the null the cold run printed, not [].
+func TestColdWarmRenderAllCampaigns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all eleven campaigns four times")
+	}
+	remote := httptest.NewServer(storehttp.Handler(campaign.NewMemStore(256 << 20)))
+	defer remote.Close()
+	dir := t.TempDir() + "/cache"
+
+	all, err := st.NewClient(st.WithQuick(), st.WithMemCache(256<<20),
+		st.WithCacheDir(dir), st.WithRemoteCache(remote.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer all.Close()
+	disk, err := st.NewClient(st.WithQuick(), st.WithCacheDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	rem, err := st.NewClient(st.WithQuick(), st.WithRemoteCache(remote.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rem.Close()
+
+	ctx := context.Background()
+	for _, in := range all.Experiments() {
+		cold, err := all.Run(ctx, in.Name)
+		if err != nil {
+			t.Fatalf("cold %s: %v", in.Name, err)
+		}
+		if cold.Stats.Computed != cold.Stats.Units {
+			t.Fatalf("cold %s was not cold: %v", in.Name, cold.Stats)
+		}
+		coldJSON, coldText := renderBoth(t, cold)
+
+		for _, warm := range []struct {
+			backend string
+			client  *st.Client
+			tier    string // the tier that must serve every unit
+		}{
+			{"mem+disk", all, "mem"},
+			{"disk", disk, "disk"},
+			{"remote", rem, "remote"},
+		} {
+			res, err := warm.client.Run(ctx, in.Name)
+			if err != nil {
+				t.Fatalf("warm %s via %s: %v", in.Name, warm.backend, err)
+			}
+			if res.Stats.Computed != 0 || res.Stats.Store[0].Tier != warm.tier ||
+				res.Stats.Store[0].Hits != int64(res.Stats.Units) {
+				t.Fatalf("warm %s via %s not served by %s: %v %+v",
+					in.Name, warm.backend, warm.tier, res.Stats, res.Stats.Store)
+			}
+			gotJSON, gotText := renderBoth(t, res)
+			if gotJSON != coldJSON {
+				t.Errorf("warm %s via %s: -json differs from the cold run", in.Name, warm.backend)
+			}
+			if gotText != coldText {
+				t.Errorf("warm %s via %s: text differs from the cold run:\n--- warm ---\n%s--- cold ---\n%s",
+					in.Name, warm.backend, gotText, coldText)
+			}
+		}
+	}
+}
